@@ -36,7 +36,7 @@ use nvm_emu::{
     pages_for, DeviceError, MemoryDevice, RegionId, SimDuration, SimTime, VirtualClock, PAGE_SIZE,
 };
 use nvm_heap::{HeapError, Materialization, NvmHeap};
-use nvm_metrics::{names, CounterHandle, HistogramHandle, Metrics};
+use nvm_metrics::{names, HistogramHandle, Metrics};
 use nvm_paging::metadata::MetadataError;
 use nvm_paging::{ChunkId, MetadataRegion, Mmu};
 use nvm_trace::{TraceEventKind, Tracer};
@@ -140,9 +140,9 @@ pub struct CheckpointEngine {
     /// Background-copy budget in seconds; may go negative when a large
     /// chunk overdraws one compute segment and repays in the next.
     precopy_credit_secs: f64,
-    epoch_precopied: u64,
-    epoch_wasted: u64,
-    faults_at_interval_start: u64,
+    /// [`CheckpointEngine::stats`] when this interval started; each
+    /// epoch report is the difference from it.
+    interval_start_stats: EngineStats,
     /// Chunks awaiting lazy (first-access) restore.
     lazy_pending: BTreeSet<ChunkId>,
     /// Chunks awaiting lazy restore *from the durable store* (their
@@ -157,41 +157,14 @@ pub struct CheckpointEngine {
     /// Event-stream handle; disabled (one branch per emission site) by
     /// default.
     tracer: Tracer,
-    /// Aggregate-metrics handle; disabled (one branch per update) by
-    /// default.
+    /// Aggregate-metrics handle for the latency histograms; disabled
+    /// (one branch per update) by default. The `chkpt_*` counters are
+    /// not recorded here: [`EngineStats::export_counters`] writes them
+    /// from `stats`.
     metrics: Metrics,
-    /// Lock-free cells for the per-write/per-copy metrics, resolved
-    /// once at attach so the simulate loop never locks a registry or
-    /// walks the name map.
-    hot: HotMetrics,
-}
-
-/// Pre-resolved handles for the metrics updated inside the simulate
-/// loop (per protection fault / per pre-copy drain). Per-epoch metrics
-/// stay on the name-keyed locked path, which is cold.
-#[derive(Clone, Default)]
-struct HotMetrics {
-    faults_total: CounterHandle,
-    fault_time_ns_total: CounterHandle,
+    /// `chkpt_fault_ns`, resolved once at attach so a protection fault
+    /// never locks the registry or walks the name map.
     fault_ns: HistogramHandle,
-    wasted_precopy_bytes_total: CounterHandle,
-    interference_time_ns_total: CounterHandle,
-    precopied_bytes_total: CounterHandle,
-}
-
-impl HotMetrics {
-    fn resolve(metrics: &Metrics) -> Self {
-        HotMetrics {
-            faults_total: metrics.counter_handle(names::CHKPT_FAULTS_TOTAL),
-            fault_time_ns_total: metrics.counter_handle(names::CHKPT_FAULT_TIME_NS_TOTAL),
-            fault_ns: metrics.histogram_handle(names::CHKPT_FAULT_NS),
-            wasted_precopy_bytes_total: metrics
-                .counter_handle(names::CHKPT_WASTED_PRECOPY_BYTES_TOTAL),
-            interference_time_ns_total: metrics
-                .counter_handle(names::CHKPT_INTERFERENCE_TIME_NS_TOTAL),
-            precopied_bytes_total: metrics.counter_handle(names::CHKPT_PRECOPIED_BYTES_TOTAL),
-        }
-    }
 }
 
 impl CheckpointEngine {
@@ -231,9 +204,7 @@ impl CheckpointEngine {
             interval_start: now,
             precopy_done: BTreeSet::new(),
             precopy_credit_secs: 0.0,
-            epoch_precopied: 0,
-            epoch_wasted: 0,
-            faults_at_interval_start: 0,
+            interval_start_stats: EngineStats::default(),
             lazy_pending: BTreeSet::new(),
             lazy_store_pending: BTreeMap::new(),
             persistence: None,
@@ -241,7 +212,7 @@ impl CheckpointEngine {
             log: Vec::new(),
             tracer: Tracer::disabled(),
             metrics: Metrics::disabled(),
-            hot: HotMetrics::default(),
+            fault_ns: HistogramHandle::disabled(),
         })
     }
 
@@ -258,11 +229,11 @@ impl CheckpointEngine {
         &self.tracer
     }
 
-    /// Attach a [`Metrics`] handle: faults, pre-copy volume, waste,
-    /// coordinated phases, and latency distributions record into it.
-    /// Pass [`Metrics::disabled`] to detach.
+    /// Attach a [`Metrics`] handle: the fault and coordinated-phase
+    /// latency distributions record into it. Pass [`Metrics::disabled`]
+    /// to detach.
     pub fn set_metrics(&mut self, metrics: Metrics) {
-        self.hot = HotMetrics::resolve(&metrics);
+        self.fault_ns = metrics.histogram_handle(names::CHKPT_FAULT_NS);
         self.metrics = metrics;
     }
 
@@ -450,22 +421,16 @@ impl CheckpointEngine {
             let last = (offset + len - 1) / PAGE_SIZE;
             let out = self.mmu.record_write(id, first, last - first + 1);
             total += out.cost;
-            self.stats.faults += out.faults as u64;
-            self.stats.fault_time += out.cost;
             if out.faults > 0 {
                 self.trace(TraceEventKind::ProtectionFault { chunk: id.0 });
-                self.hot.faults_total.add(out.faults as u64);
-                self.hot.fault_time_ns_total.add(out.cost.as_nanos());
-                self.hot.fault_ns.observe(out.cost.as_nanos());
+                self.fault_ns.observe(out.cost.as_nanos());
             }
             self.predictor.record_modification(id);
             if self.precopy_done.remove(&id) {
                 // A pre-copied chunk was modified again: the earlier
                 // copy is wasted and must be redone.
                 self.stats.wasted_precopy_bytes += chunk_len as u64;
-                self.epoch_wasted += chunk_len as u64;
                 self.trace(TraceEventKind::PrecopyWaste { chunk: id.0 });
-                self.hot.wasted_precopy_bytes_total.add(chunk_len as u64);
             }
         }
         self.clock.advance(total);
@@ -503,9 +468,6 @@ impl CheckpointEngine {
             let copied_time = self.run_precopy(window);
             interference = copied_time * self.config.precopy_interference;
             self.stats.interference_time += interference;
-            self.hot
-                .interference_time_ns_total
-                .add(interference.as_nanos());
             if self.tracer.enabled() {
                 self.trace(TraceEventKind::PrecopyEnd {
                     epoch: self.epoch,
@@ -566,8 +528,6 @@ impl CheckpointEngine {
             self.precopy_credit_secs -= cost.as_secs_f64();
             spent += cost;
             self.stats.precopied_bytes += len;
-            self.epoch_precopied += len;
-            self.hot.precopied_bytes_total.add(len);
             self.mmu.protect_after_precopy(id);
             self.precopy_done.insert(id);
             self.trace(TraceEventKind::PrecopyDrain {
@@ -721,20 +681,20 @@ impl CheckpointEngine {
             copied_bytes: coordinated_bytes,
         });
         let interval = now.since(self.interval_start);
-        let faults_now = self.mmu.stats().faults;
+        let (stats, start) = (self.stats(), self.interval_start_stats);
         let report = EpochReport {
             epoch: self.epoch,
             coordinated_time,
             coordinated_bytes,
-            precopied_bytes: self.epoch_precopied,
+            precopied_bytes: stats.precopied_bytes - start.precopied_bytes,
             skipped_bytes,
-            wasted_bytes: self.epoch_wasted,
-            faults: faults_now - self.faults_at_interval_start,
+            wasted_bytes: stats.wasted_precopy_bytes - start.wasted_precopy_bytes,
+            faults: stats.faults - start.faults,
             interval,
         };
 
         // Learn/adapt.
-        let moved = coordinated_bytes + self.epoch_precopied;
+        let moved = coordinated_bytes + report.precopied_bytes;
         let bw = self
             .heap
             .nvm()
@@ -750,15 +710,6 @@ impl CheckpointEngine {
         self.stats.coordinated_bytes += coordinated_bytes;
         self.stats.skipped_bytes += skipped_bytes;
         self.stats.coordinated_time += coordinated_time;
-        self.metrics.counter_add(names::CHKPT_CHECKPOINTS_TOTAL, 1);
-        self.metrics
-            .counter_add(names::CHKPT_COORDINATED_BYTES_TOTAL, coordinated_bytes);
-        self.metrics
-            .counter_add(names::CHKPT_SKIPPED_BYTES_TOTAL, skipped_bytes);
-        self.metrics.counter_add(
-            names::CHKPT_COORDINATED_TIME_NS_TOTAL,
-            coordinated_time.as_nanos(),
-        );
         self.metrics
             .observe(names::CHKPT_COORDINATED_NS, coordinated_time.as_nanos());
 
@@ -766,9 +717,7 @@ impl CheckpointEngine {
         self.interval_start = now;
         self.precopy_done.clear();
         self.precopy_credit_secs = 0.0;
-        self.epoch_precopied = 0;
-        self.epoch_wasted = 0;
-        self.faults_at_interval_start = faults_now;
+        self.interval_start_stats = self.stats();
         self.log.push(report);
         Ok(report)
     }
@@ -816,8 +765,6 @@ impl CheckpointEngine {
         }
         self.precopy_done.remove(&id);
         self.stats.coordinated_bytes += len;
-        self.metrics
-            .counter_add(names::CHKPT_COORDINATED_BYTES_TOTAL, len);
         Ok(self.clock.now().since(t0))
     }
 
@@ -977,9 +924,7 @@ impl CheckpointEngine {
                 interval_start: now,
                 precopy_done: BTreeSet::new(),
                 precopy_credit_secs: 0.0,
-                epoch_precopied: 0,
-                epoch_wasted: 0,
-                faults_at_interval_start: 0,
+                interval_start_stats: EngineStats::default(),
                 lazy_pending,
                 lazy_store_pending: BTreeMap::new(),
                 persistence: None,
@@ -987,7 +932,7 @@ impl CheckpointEngine {
                 log: Vec::new(),
                 tracer,
                 metrics: Metrics::disabled(),
-                hot: HotMetrics::default(),
+                fault_ns: HistogramHandle::disabled(),
             },
             report,
         ))
@@ -1109,9 +1054,7 @@ impl CheckpointEngine {
                 interval_start: now,
                 precopy_done: BTreeSet::new(),
                 precopy_credit_secs: 0.0,
-                epoch_precopied: 0,
-                epoch_wasted: 0,
-                faults_at_interval_start: 0,
+                interval_start_stats: EngineStats::default(),
                 lazy_pending: BTreeSet::new(),
                 lazy_store_pending,
                 persistence: Some(store),
@@ -1119,7 +1062,7 @@ impl CheckpointEngine {
                 log: Vec::new(),
                 tracer,
                 metrics: Metrics::disabled(),
-                hot: HotMetrics::default(),
+                fault_ns: HistogramHandle::disabled(),
             },
             report,
         ))
@@ -1228,9 +1171,7 @@ impl CheckpointEngine {
                 interval_start: now,
                 precopy_done: BTreeSet::new(),
                 precopy_credit_secs: 0.0,
-                epoch_precopied: 0,
-                epoch_wasted: 0,
-                faults_at_interval_start: 0,
+                interval_start_stats: EngineStats::default(),
                 lazy_pending: BTreeSet::new(),
                 lazy_store_pending: BTreeMap::new(),
                 persistence: None,
@@ -1238,7 +1179,7 @@ impl CheckpointEngine {
                 log: Vec::new(),
                 tracer,
                 metrics: Metrics::disabled(),
-                hot: HotMetrics::default(),
+                fault_ns: HistogramHandle::disabled(),
             },
             report,
         ))
@@ -2092,9 +2033,14 @@ mod tests {
         e.write(id, 0, &[8u8; 64 * 1024]).unwrap(); // fault + waste
         e.nvchkptall().unwrap();
 
-        let snap = m.registry().snapshot();
+        // Counters come from the stats exporter, histograms from the
+        // live handle.
         let s = e.stats();
+        let mut reg = m.registry();
+        s.export_counters(&mut reg);
+        let snap = reg.snapshot();
         assert_eq!(snap.counter(names::CHKPT_CHECKPOINTS_TOTAL), s.checkpoints);
+        assert_eq!(snap.counter(names::CHKPT_RESTARTS_TOTAL), s.restarts);
         assert_eq!(snap.counter(names::CHKPT_FAULTS_TOTAL), s.faults);
         assert_eq!(
             snap.counter(names::CHKPT_PRECOPIED_BYTES_TOTAL),

@@ -22,6 +22,7 @@
 //! already charged write time/bandwidth/wear for every shadow copy, so
 //! attaching a backend never perturbs simulation results.
 
+use nvm_metrics::{names, MetricsRegistry};
 use nvm_paging::ChunkId;
 use serde::{Deserialize, Serialize};
 
@@ -87,10 +88,11 @@ pub struct StoreStats {
     pub torn_writes_detected: u64,
 }
 
-impl std::ops::AddAssign for StoreStats {
-    fn add_assign(&mut self, rhs: Self) {
-        // Exhaustive destructuring: adding a field without updating the
-        // merge is a compile error, not a silently dropped counter.
+/// Field-exhaustive accumulation: adding a field without updating the
+/// merge is a compile error, not a silently dropped counter. This also
+/// provides [`nvm_metrics::MergeStats`] via its blanket impl.
+impl std::ops::AddAssign<&StoreStats> for StoreStats {
+    fn add_assign(&mut self, rhs: &StoreStats) {
         let StoreStats {
             bytes_written,
             fsyncs,
@@ -99,7 +101,7 @@ impl std::ops::AddAssign for StoreStats {
             payload_read_bytes,
             recoveries,
             torn_writes_detected,
-        } = rhs;
+        } = *rhs;
         self.bytes_written += bytes_written;
         self.fsyncs += fsyncs;
         self.commits += commits;
@@ -111,13 +113,29 @@ impl std::ops::AddAssign for StoreStats {
 }
 
 impl StoreStats {
-    /// Sum a collection of per-backend stats.
-    pub fn merged<'a>(parts: impl IntoIterator<Item = &'a StoreStats>) -> StoreStats {
-        let mut out = StoreStats::default();
-        for p in parts {
-            out += *p;
-        }
-        out
+    /// Write the `store_*` counters into `reg`, each from its field;
+    /// zero values create no entry. This is the only writer of these
+    /// counters, and the destructuring has no `..`, so a new field must
+    /// be exported here before it compiles.
+    pub fn export_counters(&self, reg: &mut MetricsRegistry) {
+        let StoreStats {
+            bytes_written,
+            fsyncs,
+            commits,
+            payload_reads,
+            payload_read_bytes,
+            recoveries,
+            torn_writes_detected,
+        } = *self;
+        reg.add_nonzero_counters(&[
+            (names::STORE_BYTES_WRITTEN_TOTAL, bytes_written),
+            (names::STORE_FSYNCS_TOTAL, fsyncs),
+            (names::STORE_COMMITS_TOTAL, commits),
+            (names::STORE_PAYLOAD_READS_TOTAL, payload_reads),
+            (names::STORE_PAYLOAD_READ_BYTES_TOTAL, payload_read_bytes),
+            (names::STORE_RECOVERIES_TOTAL, recoveries),
+            (names::STORE_TORN_WRITES_TOTAL, torn_writes_detected),
+        ]);
     }
 }
 
@@ -261,6 +279,7 @@ mod tests {
 
     #[test]
     fn store_stats_merge_is_exact() {
+        use nvm_metrics::MergeStats;
         let a = StoreStats {
             bytes_written: 10,
             fsyncs: 1,

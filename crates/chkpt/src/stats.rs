@@ -1,6 +1,7 @@
 //! Engine statistics and per-epoch reports.
 
 use nvm_emu::SimDuration;
+use nvm_metrics::{names, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 
 /// Cumulative counters over the life of a [`crate::CheckpointEngine`].
@@ -64,6 +65,46 @@ impl std::ops::AddAssign<&EngineStats> for EngineStats {
 }
 
 impl EngineStats {
+    /// Write the `chkpt_*` counters into `reg`, each from its field;
+    /// zero values create no entry. This is the only writer of these
+    /// counters. The destructuring has no `..`, so a field added to
+    /// [`EngineStats`] is a compile error here until it is exported.
+    pub fn export_counters(&self, reg: &mut MetricsRegistry) {
+        let EngineStats {
+            checkpoints,
+            precopied_bytes,
+            coordinated_bytes,
+            skipped_bytes,
+            wasted_precopy_bytes,
+            coordinated_time,
+            interference_time,
+            fault_time,
+            faults,
+            restarts,
+        } = *self;
+        reg.add_nonzero_counters(&[
+            (names::CHKPT_CHECKPOINTS_TOTAL, checkpoints),
+            (names::CHKPT_PRECOPIED_BYTES_TOTAL, precopied_bytes),
+            (names::CHKPT_COORDINATED_BYTES_TOTAL, coordinated_bytes),
+            (names::CHKPT_SKIPPED_BYTES_TOTAL, skipped_bytes),
+            (
+                names::CHKPT_WASTED_PRECOPY_BYTES_TOTAL,
+                wasted_precopy_bytes,
+            ),
+            (
+                names::CHKPT_COORDINATED_TIME_NS_TOTAL,
+                coordinated_time.as_nanos(),
+            ),
+            (
+                names::CHKPT_INTERFERENCE_TIME_NS_TOTAL,
+                interference_time.as_nanos(),
+            ),
+            (names::CHKPT_FAULT_TIME_NS_TOTAL, fault_time.as_nanos()),
+            (names::CHKPT_FAULTS_TOTAL, faults),
+            (names::CHKPT_RESTARTS_TOTAL, restarts),
+        ]);
+    }
+
     /// All bytes moved to NVM for checkpointing.
     pub fn total_copied_bytes(&self) -> u64 {
         self.precopied_bytes + self.coordinated_bytes

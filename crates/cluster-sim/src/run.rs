@@ -229,10 +229,11 @@ pub struct RunOptions {
     /// [`RunResult::trace`], bit-identical for serial and
     /// multi-threaded execution.
     pub trace: bool,
-    /// Collect aggregate metrics. Each rank's engine records into a
-    /// private registry and each node's devices/helper into a
-    /// per-node registry (commutative updates only); shard merges
-    /// fold them — all updates commute, so the snapshot in
+    /// Collect aggregate metrics. Each rank's engine records its
+    /// histograms into a private registry and each node's helper into
+    /// a per-node registry; shard merges fold them and export the
+    /// engine, store, helper and device counters from the merged
+    /// stats. All updates commute, so the snapshot in
     /// [`RunResult::metrics`] is bit-identical at any thread count.
     pub metrics: bool,
     /// Give every rank a durable container file (`rank_<g>.store`)
@@ -430,9 +431,27 @@ struct Rank {
     /// Private event buffer; engine events land here via the tracer so
     /// parallel ranks never contend on (or reorder) a shared stream.
     sink: Option<Arc<BufferSink>>,
-    /// Private metrics registry (disabled unless
-    /// [`ClusterConfig::metrics`]); merged in rank order at the end.
+    /// Private metrics registry for the engine's histograms and the
+    /// `kv_*` counters (disabled unless [`RunOptions::metrics`]);
+    /// merged in rank order at the end.
     metrics: Metrics,
+    /// Stats of engines (and their stores) that hard-failure recovery
+    /// replaced, so run totals cover the whole run.
+    retired: EngineStats,
+    retired_store: StoreStats,
+}
+
+impl Rank {
+    /// Install a recovered engine, folding the outgoing engine's and
+    /// its store's stats into the retired totals.
+    fn replace_engine(&mut self, mut engine: CheckpointEngine) {
+        engine.set_metrics(self.metrics.clone());
+        let old = std::mem::replace(&mut self.engine, engine);
+        self.retired += &old.stats();
+        if let Some(s) = old.persistence_stats() {
+            self.retired_store += &s;
+        }
+    }
 }
 
 // The worker pool moves `&mut Rank` across scoped threads; everything
@@ -518,9 +537,8 @@ struct NodeDevices {
     /// Checkpoint flows in flight: (ends_at, rate bytes/s) — they
     /// contend with application communication until they drain.
     flows: Vec<(SimTime, f64)>,
-    /// Shared registry for this node's devices and helper. Safe to
-    /// share across concurrently-executing ranks because every update
-    /// is commutative; merged in node order at the end.
+    /// Registry for the helper's transfer-size histogram; merged in
+    /// node order at the end.
     metrics: Metrics,
 }
 
@@ -612,14 +630,7 @@ impl ClusterSim {
         for n in 0..config.nodes {
             let mut node_ranks = Vec::new();
             let node_metrics = if options.metrics {
-                let m = Metrics::new();
-                // Devices are shared by this node's ranks; counter adds
-                // are commutative, so a shared registry stays
-                // deterministic under parallel rank execution. Attach
-                // before building ranks so setup charges are counted.
-                nvms[n].set_metrics(m.clone());
-                drams[n].set_metrics(m.clone());
-                m
+                Metrics::new()
             } else {
                 Metrics::disabled()
             };
@@ -660,9 +671,8 @@ impl ClusterSim {
                 };
                 if let Some(dir) = &options.store_dir {
                     let path = dir.join(format!("rank_{global}.store"));
-                    let mut store = FileStore::open_path(&path, global, config.container_bytes)
+                    let store = FileStore::open_path(&path, global, config.container_bytes)
                         .map_err(EngineError::from)?;
-                    store.set_metrics(metrics.clone());
                     engine.set_persistence(Box::new(store));
                 }
                 node_ranks.push(Rank {
@@ -672,6 +682,8 @@ impl ClusterSim {
                     workload,
                     sink,
                     metrics,
+                    retired: EngineStats::default(),
+                    retired_store: StoreStats::default(),
                 });
             }
             ranks.push(node_ranks);
@@ -1158,12 +1170,12 @@ impl ClusterSim {
             rollup: Option<Rollup>,
             engine_stats: EngineStats,
             registry: Option<MetricsRegistry>,
-            store_stats: Option<StoreStats>,
+            store_stats: StoreStats,
             busy_ns: u64,
         }
         let metrics_on = self.options.metrics;
         let rollup_bucket = self.options.rollup;
-        let merge_shard = |shard_ranks: &mut [Vec<Rank>], shard_nodes: &[NodeDevices]| {
+        let merge_shard = |shard_ranks: &mut [Vec<Rank>], first_node: usize| {
             let t0 = thread_cpu_ns();
             let trace = if tracing {
                 let buffers: Vec<Vec<TraceEvent>> = shard_ranks
@@ -1180,38 +1192,40 @@ impl ClusterSim {
             // coordinator's fold below equals one rollup over the
             // whole merged trace — at any shard or thread count.
             let rollup = rollup_bucket.map(|bucket| Rollup::from_events(&trace, bucket));
-            // `MergeStats` rides on the exhaustively-destructuring
-            // `AddAssign` impl, so adding a field to `EngineStats` is a
-            // compile error here rather than a silently-dropped
-            // statistic (the old hand-rolled summation lost
-            // `restarts`).
-            let rank_stats: Vec<EngineStats> = shard_ranks
-                .iter()
-                .flatten()
-                .map(|r| r.engine.stats())
-                .collect();
-            let engine_stats = EngineStats::merged(rank_stats.iter());
+            // `+=` is the exhaustively-destructuring `AddAssign` impl,
+            // so adding a field to a stats struct is a compile error
+            // here rather than a silently-dropped statistic (the old
+            // hand-rolled summation lost `restarts`).
+            let mut engine_stats = EngineStats::default();
+            let mut store_stats = StoreStats::default();
+            for r in shard_ranks.iter().flatten() {
+                engine_stats += &r.retired;
+                engine_stats += &r.engine.stats();
+                store_stats += &r.retired_store;
+                if let Some(s) = r.engine.persistence_stats() {
+                    store_stats += &s;
+                }
+            }
+            // Live handles carry only histograms and `kv_*` counters;
+            // every other counter is exported from the merged stats.
             let registry = if metrics_on {
                 let mut reg = MetricsRegistry::new();
                 for r in shard_ranks.iter().flatten() {
                     r.metrics.merge_into(&mut reg);
                 }
-                for n in shard_nodes {
-                    n.metrics.merge_into(&mut reg);
+                engine_stats.export_counters(&mut reg);
+                store_stats.export_counters(&mut reg);
+                for n in first_node..first_node + shard_ranks.len() {
+                    let node = &self.nodes[n];
+                    node.metrics.merge_into(&mut reg);
+                    node.helper.stats().export_counters(&mut reg);
+                    for d in [&self.nvms[n], &self.drams[n]] {
+                        d.stats().export_counters(d.kind(), &mut reg);
+                    }
                 }
                 Some(reg)
             } else {
                 None
-            };
-            let store_stats: Vec<StoreStats> = shard_ranks
-                .iter()
-                .flatten()
-                .filter_map(|r| r.engine.persistence_stats())
-                .collect();
-            let store_stats = if store_stats.is_empty() {
-                None
-            } else {
-                Some(StoreStats::merged(store_stats.iter()))
             };
             ShardMerge {
                 trace,
@@ -1225,7 +1239,7 @@ impl ClusterSim {
         let shard_chunks = self
             .ranks
             .chunks_mut(nodes_per_shard)
-            .zip(self.nodes.chunks(nodes_per_shard));
+            .zip((0..).step_by(nodes_per_shard));
         let mut shard_results: Vec<ShardMerge> = if self.config.threads <= 1 || shards <= 1 {
             shard_chunks.map(|(r, n)| merge_shard(r, n)).collect()
         } else {
@@ -1288,15 +1302,11 @@ impl ClusterSim {
 
         // Store counters (None when no store is attached — so results
         // without `--store` serialize unchanged).
-        let store_partials: Vec<&StoreStats> = shard_results
-            .iter()
-            .filter_map(|s| s.store_stats.as_ref())
-            .collect();
-        let store = if store_partials.is_empty() {
-            None
-        } else {
-            Some(StoreStats::merged(store_partials))
-        };
+        let store = self
+            .options
+            .store_dir
+            .is_some()
+            .then(|| StoreStats::merged(shard_results.iter().map(|s| &s.store_stats)));
 
         let result = RunResult {
             total_time,
@@ -1611,8 +1621,7 @@ impl ClusterSim {
             source = RecoverySource::LocalStore;
             for rank in self.ranks[node].iter_mut() {
                 let path = dir.join(format!("rank_{}.store", rank.global));
-                let mut store = FileStore::open_existing(&path).map_err(EngineError::from)?;
-                store.set_metrics(rank.metrics.clone());
+                let store = FileStore::open_existing(&path).map_err(EngineError::from)?;
                 let tracer = match &rank.sink {
                     Some(s) => Tracer::new(s.clone()).with_rank(rank.global),
                     None => Tracer::disabled(),
@@ -1627,8 +1636,7 @@ impl ClusterSim {
                     Box::new(store),
                     tracer,
                 )?;
-                rank.engine = engine;
-                rank.engine.set_metrics(rank.metrics.clone());
+                rank.replace_engine(engine);
                 max_install = max_install.max(rank.clock.now().since(t0));
             }
         } else {
@@ -1720,8 +1728,7 @@ impl ClusterSim {
                         local_ckpts,
                         tracer,
                     )?;
-                    rank.engine = engine;
-                    rank.engine.set_metrics(rank.metrics.clone());
+                    rank.replace_engine(engine);
                     max_install = max_install.max(rank.clock.now().since(t0));
                 }
                 // Verify the restored contents bit-for-bit against the
@@ -1758,8 +1765,7 @@ impl ClusterSim {
                     if let Some(s) = &rank.sink {
                         engine.set_tracer(Tracer::new(s.clone()).with_rank(rank.global));
                     }
-                    engine.set_metrics(rank.metrics.clone());
-                    rank.engine = engine;
+                    rank.replace_engine(engine);
                     rank.workload.setup(&mut rank.engine)?;
                     max_install = max_install.max(rank.clock.now().since(t0));
                 }
@@ -1774,10 +1780,9 @@ impl ClusterSim {
                 for rank in self.ranks[node].iter_mut() {
                     let path = dir.join(format!("rank_{}.store", rank.global));
                     let _ = std::fs::remove_file(&path);
-                    let mut store =
+                    let store =
                         FileStore::open_path(&path, rank.global, self.config.container_bytes)
                             .map_err(EngineError::from)?;
-                    store.set_metrics(rank.metrics.clone());
                     rank.engine.set_persistence(Box::new(store));
                 }
             }
@@ -2135,36 +2140,104 @@ mod tests {
 
     #[test]
     fn metrics_agree_with_merged_stats() {
-        let mut cfg = small_config();
-        cfg.remote = Some(RemoteConfig::infiniband(SimDuration::from_secs(10), true));
-        let r = run_opts(cfg, RunOptions::new().with_metrics(true));
-        let snap = &r.metrics.as_ref().unwrap().snapshot;
-        let es = &r.engine_stats;
-        assert_eq!(snap.counter(names::CHKPT_CHECKPOINTS_TOTAL), es.checkpoints);
-        assert_eq!(
-            snap.counter(names::CHKPT_COORDINATED_BYTES_TOTAL),
-            es.coordinated_bytes
-        );
-        assert_eq!(
-            snap.counter(names::CHKPT_PRECOPIED_BYTES_TOTAL),
-            es.precopied_bytes
-        );
-        assert_eq!(
-            snap.counter(names::CHKPT_SKIPPED_BYTES_TOTAL),
-            es.skipped_bytes
-        );
-        assert_eq!(snap.counter(names::CHKPT_FAULTS_TOTAL), es.faults);
-        let hs = HelperStats::merged(r.helper_stats.iter());
-        assert_eq!(
-            snap.counter(names::HELPER_BYTES_COPIED_TOTAL),
-            hs.bytes_copied
-        );
-        assert_eq!(snap.counter(names::HELPER_COPY_OPS_TOTAL), hs.copy_ops);
-        assert!(snap.counter(names::CLUSTER_BARRIERS_TOTAL) > 0);
-        assert!(snap.gauge(names::LINK_PEAK_BYTES_PER_S) > 0);
-        let d = &r.metrics.as_ref().unwrap().derived;
-        assert!(d.precopy_fraction > 0.0 && d.precopy_fraction <= 1.0);
-        assert!(d.effective_nvm_bandwidth_bytes_per_s > 0.0);
+        use crate::store::tests::{factory as bytes_factory, hard_at, recovery_config};
+        use std::collections::BTreeMap;
+        // A failure-free synthetic run, and a byte-level run whose
+        // node 1 fails hard and restarts its engines from their
+        // durable stores: the counters must cover the replaced
+        // engines and stores too.
+        let mut synthetic = small_config();
+        synthetic.remote = Some(RemoteConfig::infiniband(SimDuration::from_secs(10), true));
+        let failing = recovery_config(true).with_failure_schedule(hard_at(100, 1));
+        let tmp = TempDir::new("metrics-agree").unwrap();
+        type Make = fn(u64) -> Box<dyn Workload>;
+        let cases: [(ClusterConfig, Make, RunOptions, u64); 2] = [
+            (synthetic, factory, RunOptions::new(), 0),
+            (
+                failing,
+                bytes_factory,
+                RunOptions::new().with_store_dir(tmp.path()),
+                1,
+            ),
+        ];
+        for (cfg, make, opts, hard_failures) in cases {
+            let sim = ClusterSim::with_options(cfg, opts.with_metrics(true).with_trace(true), make)
+                .unwrap();
+            let devices: Vec<MemoryDevice> = sim.nvms.iter().chain(&sim.drams).cloned().collect();
+            let r = sim.execute().unwrap().result;
+            assert_eq!(r.hard_failures, hard_failures);
+            let snap = &r.metrics.as_ref().unwrap().snapshot;
+
+            let es = &r.engine_stats;
+            // Each of the failed node's two ranks restarted once.
+            assert_eq!(es.restarts, 2 * hard_failures);
+            let st = r.store.unwrap_or_default();
+            let hs = HelperStats::merged(r.helper_stats.iter());
+            let mut want: BTreeMap<&str, u64> = BTreeMap::from([
+                (names::CHKPT_CHECKPOINTS_TOTAL, es.checkpoints),
+                (names::CHKPT_PRECOPIED_BYTES_TOTAL, es.precopied_bytes),
+                (names::CHKPT_COORDINATED_BYTES_TOTAL, es.coordinated_bytes),
+                (names::CHKPT_SKIPPED_BYTES_TOTAL, es.skipped_bytes),
+                (
+                    names::CHKPT_WASTED_PRECOPY_BYTES_TOTAL,
+                    es.wasted_precopy_bytes,
+                ),
+                (
+                    names::CHKPT_COORDINATED_TIME_NS_TOTAL,
+                    es.coordinated_time.as_nanos(),
+                ),
+                (
+                    names::CHKPT_INTERFERENCE_TIME_NS_TOTAL,
+                    es.interference_time.as_nanos(),
+                ),
+                (names::CHKPT_FAULT_TIME_NS_TOTAL, es.fault_time.as_nanos()),
+                (names::CHKPT_FAULTS_TOTAL, es.faults),
+                (names::CHKPT_RESTARTS_TOTAL, es.restarts),
+                (names::STORE_BYTES_WRITTEN_TOTAL, st.bytes_written),
+                (names::STORE_FSYNCS_TOTAL, st.fsyncs),
+                (names::STORE_COMMITS_TOTAL, st.commits),
+                (names::STORE_PAYLOAD_READS_TOTAL, st.payload_reads),
+                (names::STORE_PAYLOAD_READ_BYTES_TOTAL, st.payload_read_bytes),
+                (names::STORE_RECOVERIES_TOTAL, st.recoveries),
+                (names::STORE_TORN_WRITES_TOTAL, st.torn_writes_detected),
+                (names::HELPER_BUSY_NS_TOTAL, hs.busy.as_nanos()),
+                (names::HELPER_ELAPSED_NS_TOTAL, hs.elapsed.as_nanos()),
+                (names::HELPER_BYTES_COPIED_TOTAL, hs.bytes_copied),
+                (names::HELPER_COPY_OPS_TOTAL, hs.copy_ops),
+                (names::HELPER_SCANS_TOTAL, hs.scans),
+            ]);
+            for d in &devices {
+                let (kind, ds) = (d.kind().name(), d.stats());
+                for (name, value) in [
+                    (names::device_read_bytes_total(kind), ds.bytes_read),
+                    (names::device_write_bytes_total(kind), ds.bytes_written),
+                    (names::device_busy_ns_total(kind), ds.busy.as_nanos()),
+                ] {
+                    *want.entry(name).or_default() += value;
+                }
+            }
+            for (name, value) in &want {
+                assert_eq!(snap.counter(name), *value, "{name}");
+            }
+            for name in snap.counters.keys() {
+                let layer = ["chkpt_", "store_", "helper_", "dev_"];
+                if layer.iter().any(|p| name.starts_with(p)) {
+                    assert!(want.contains_key(name.as_str()), "unexpected {name}");
+                }
+            }
+            let coordinated_ends = r
+                .trace
+                .iter()
+                .filter(|e| matches!(e.kind, TraceEventKind::CoordinatedEnd { .. }))
+                .count() as u64;
+            assert_eq!(es.checkpoints, coordinated_ends);
+
+            assert!(snap.counter(names::CLUSTER_BARRIERS_TOTAL) > 0);
+            assert!(snap.gauge(names::LINK_PEAK_BYTES_PER_S) > 0);
+            let d = &r.metrics.as_ref().unwrap().derived;
+            assert!(d.precopy_fraction > 0.0 && d.precopy_fraction <= 1.0);
+            assert!(d.effective_nvm_bandwidth_bytes_per_s > 0.0);
+        }
     }
 
     #[test]

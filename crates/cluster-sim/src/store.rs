@@ -73,7 +73,7 @@ pub(crate) fn scan_store_dir(dir: &Path) -> Result<Vec<RankRecovery>, PersistErr
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::app::Workload;
     use crate::run::{Cluster, ClusterConfig, RunOptions, RunOutcome};
@@ -144,7 +144,7 @@ mod tests {
         c
     }
 
-    fn factory(global: u64) -> Box<dyn Workload> {
+    pub(crate) fn factory(global: u64) -> Box<dyn Workload> {
         Box::new(BytesWorkload {
             global,
             ids: Vec::new(),
@@ -294,7 +294,7 @@ mod tests {
 
     /// `store_config` plus remote checkpointing, long enough for two
     /// remote epochs to commit before a late hard failure.
-    fn recovery_config(precopy: bool) -> ClusterConfig {
+    pub(crate) fn recovery_config(precopy: bool) -> ClusterConfig {
         let mut c = store_config();
         c.iterations = 20;
         c.engine = c.engine.with_precopy(if precopy {
@@ -309,7 +309,7 @@ mod tests {
         c
     }
 
-    fn hard_at(secs: u64, node: usize) -> FailureSchedule {
+    pub(crate) fn hard_at(secs: u64, node: usize) -> FailureSchedule {
         FailureSchedule::from_events(vec![FailureEvent {
             at: SimTime::from_secs(secs),
             kind: FailureKind::Hard,

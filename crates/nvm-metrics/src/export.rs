@@ -2,6 +2,7 @@
 
 use crate::histogram::HistogramSnapshot;
 use crate::registry::MetricsSnapshot;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Render a snapshot in the Prometheus text exposition format
@@ -36,11 +37,11 @@ pub fn to_prometheus_text(snap: &MetricsSnapshot) -> String {
 /// Minimal structural validation of Prometheus text: every non-comment
 /// line must be `name[{labels}] value` with a numeric value, every
 /// series must be preceded by a `# TYPE` declaration for its family,
-/// and histogram families must end with an `+Inf` bucket and matching
-/// `_count`. Returns the number of samples on success. This is the
-/// check CI runs on the exported file.
+/// and each histogram family's `_bucket` counts must be cumulative
+/// (never decreasing). Returns the number of samples on success.
 pub fn validate_prometheus_text(text: &str) -> Result<usize, String> {
     let mut declared: Vec<String> = Vec::new();
+    let mut last_bucket: BTreeMap<&str, f64> = BTreeMap::new();
     let mut samples = 0usize;
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim_end();
@@ -67,7 +68,7 @@ pub fn validate_prometheus_text(text: &str) -> Result<usize, String> {
         let (series, value) = line
             .rsplit_once(' ')
             .ok_or_else(|| format!("line {}: no value: {line}", lineno + 1))?;
-        value
+        let value = value
             .parse::<f64>()
             .map_err(|_| format!("line {}: non-numeric value {value}", lineno + 1))?;
         let base = series.split('{').next().unwrap_or(series);
@@ -82,6 +83,15 @@ pub fn validate_prometheus_text(text: &str) -> Result<usize, String> {
                 "line {}: series {series} has no # TYPE declaration",
                 lineno + 1
             ));
+        }
+        if base.strip_suffix("_bucket") == Some(family) {
+            let previous = last_bucket.insert(family, value);
+            if previous.is_some_and(|p| value < p) {
+                return Err(format!(
+                    "line {}: {family} buckets are not cumulative",
+                    lineno + 1
+                ));
+            }
         }
         samples += 1;
     }
@@ -112,7 +122,7 @@ mod tests {
 
     fn sample_snapshot() -> MetricsSnapshot {
         let mut r = MetricsRegistry::new();
-        r.counter_add("chkpt_faults_total", 3);
+        r.counter_add("kv_upserts_total", 3);
         r.gauge_max("link_peak_bytes_per_s", 1024);
         r.observe("chkpt_fault_ns", 100);
         r.observe("chkpt_fault_ns", 5000);
@@ -122,8 +132,8 @@ mod tests {
     #[test]
     fn prometheus_text_round_trips_validation() {
         let text = to_prometheus_text(&sample_snapshot());
-        assert!(text.contains("# TYPE chkpt_faults_total counter"));
-        assert!(text.contains("chkpt_faults_total 3"));
+        assert!(text.contains("# TYPE kv_upserts_total counter"));
+        assert!(text.contains("kv_upserts_total 3"));
         assert!(text.contains("# TYPE link_peak_bytes_per_s gauge"));
         assert!(text.contains("# TYPE chkpt_fault_ns histogram"));
         assert!(text.contains("chkpt_fault_ns_bucket{le=\"+Inf\"} 2"));
@@ -151,6 +161,20 @@ mod tests {
         assert!(validate_prometheus_text("no_type_decl 1\n").is_err());
         assert!(validate_prometheus_text("# TYPE x counter\nx notanumber\n").is_err());
         assert!(validate_prometheus_text("# TYPE x widget\nx 1\n").is_err());
+    }
+
+    #[test]
+    fn validator_rejects_non_cumulative_buckets() {
+        let text = "# TYPE h histogram\n\
+                    h_bucket{le=\"127\"} 2\n\
+                    h_bucket{le=\"8191\"} 1\n\
+                    h_bucket{le=\"+Inf\"} 2\n\
+                    h_sum 5100\n\
+                    h_count 2\n";
+        let err = validate_prometheus_text(text).unwrap_err();
+        assert!(err.contains("not cumulative"), "{err}");
+        let cumulative = text.replace("8191\"} 1", "8191\"} 2");
+        assert_eq!(validate_prometheus_text(&cumulative), Ok(5));
     }
 
     #[test]

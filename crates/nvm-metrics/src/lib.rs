@@ -23,7 +23,9 @@
 //! stable-ordered JSON [`MetricsReport`] (raw [`MetricsSnapshot`] plus
 //! [`DerivedMetrics`], the paper-facing quantities). The [`MergeStats`]
 //! trait backs exhaustive stat-struct aggregation in the cluster
-//! coordinator.
+//! coordinator; the stat structs' `export_counters` methods, through
+//! [`MetricsRegistry::add_nonzero_counters`], are the only writers of
+//! the engine, device, helper and store counters.
 
 pub mod derived;
 pub mod export;

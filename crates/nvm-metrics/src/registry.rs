@@ -47,6 +47,18 @@ impl MetricsRegistry {
         }
     }
 
+    /// Add each `(name, value)` counter whose value is nonzero; a zero
+    /// creates no entry. This is the presence rule of the `*Stats`
+    /// exporters: a run that never wasted a pre-copy has no
+    /// `chkpt_wasted_precopy_bytes_total` series.
+    pub fn add_nonzero_counters(&mut self, counters: &[(&'static str, u64)]) {
+        for &(name, value) in counters {
+            if value > 0 {
+                self.counter_add(name, value);
+            }
+        }
+    }
+
     /// Raise the named gauge to at least `value` (created at `value`).
     pub fn gauge_max(&mut self, name: &'static str, value: i64) {
         match self.metrics.entry(name).or_insert(Metric::Gauge(value)) {
@@ -316,15 +328,14 @@ impl std::fmt::Debug for HistogramHandle {
 /// (the default) is disabled and every update is a single branch;
 /// enabled handles share one registry behind a mutex. All updates are
 /// commutative (add/max/bucket-add), so a registry shared by
-/// concurrently executing ranks — the per-node device registries — is
-/// still bit-deterministic.
+/// concurrently executing ranks is still bit-deterministic.
 ///
 /// Hot paths should pre-resolve names once via
 /// [`Metrics::counter_handle`]/[`Metrics::histogram_handle`] and
 /// update through the returned lock-free cells; the name-keyed
 /// `counter_add`/`gauge_max`/`observe` methods lock the registry and
 /// walk the name map on every call, which is fine for per-epoch
-/// coordinator updates but not for per-event device charges.
+/// coordinator updates but not for per-event updates.
 #[derive(Clone, Default)]
 pub struct Metrics {
     inner: Option<Arc<MetricsInner>>,
@@ -468,6 +479,15 @@ mod tests {
         assert_eq!(h.count, 2);
         assert_eq!(h.max, 100);
         assert_eq!(s.counter("missing"), 0);
+    }
+
+    #[test]
+    fn zero_counters_are_not_exported() {
+        let mut r = MetricsRegistry::new();
+        r.add_nonzero_counters(&[("a", 0), ("b", 4)]);
+        r.add_nonzero_counters(&[("a", 0), ("b", 1)]);
+        assert!(r.get("a").is_none());
+        assert_eq!(r.get("b"), Some(&Metric::Counter(5)));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! buddy-hosted remote images — out of process RAM and onto one spill
 //! file per device. Spilling changes *where bytes live*, never what
 //! the simulation computes: the device charges identical virtual
-//! time, wear, stats, and metrics either way (see
+//! time, wear, and stats either way (see
 //! [`nvm_emu::spill`]).
 //!
 //! Unlike the container, a spill file needs no crash consistency (it

@@ -138,11 +138,11 @@ pub fn touched_rank_metrics(ranks: usize) -> Vec<Metrics> {
     (0..ranks)
         .map(|r| {
             let m = Metrics::new();
-            let faults = m.counter_handle("chkpt_faults_total");
-            let bytes = m.counter_handle("chkpt_precopied_bytes_total");
+            let upserts = m.counter_handle("kv_upserts_total");
+            let bytes = m.counter_handle("kv_log_appended_bytes_total");
             let hist = m.histogram_handle("chkpt_fault_ns");
             for i in 0..64u64 {
-                faults.add(1);
+                upserts.add(1);
                 bytes.add(4096);
                 hist.observe(1_000 + i * 37 + r as u64);
             }
@@ -337,7 +337,7 @@ mod tests {
     fn metrics_fixture_folds_all_ranks() {
         let ranks = touched_rank_metrics(8);
         let folded = fold_metrics(&ranks);
-        assert_eq!(folded.snapshot().counter("chkpt_faults_total"), 8 * 64);
+        assert_eq!(folded.snapshot().counter("kv_upserts_total"), 8 * 64);
     }
 
     #[test]

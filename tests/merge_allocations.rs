@@ -81,10 +81,10 @@ fn coordinator_merges_allocate_per_rank_not_per_event() {
     let ranks: Vec<nvm_metrics::Metrics> = (0..RANKS)
         .map(|r| {
             let m = nvm_metrics::Metrics::new();
-            let faults = m.counter_handle("chkpt_faults_total");
+            let upserts = m.counter_handle("kv_upserts_total");
             let hist = m.histogram_handle("chkpt_fault_ns");
             for i in 0..EVENTS_PER_RANK as u64 {
-                faults.add(1);
+                upserts.add(1);
                 hist.observe(500 + i * 31 + r as u64);
             }
             m
@@ -98,7 +98,7 @@ fn coordinator_merges_allocate_per_rank_not_per_event() {
         }
     });
     assert_eq!(
-        folded.snapshot().counter("chkpt_faults_total"),
+        folded.snapshot().counter("kv_upserts_total"),
         (RANKS * EVENTS_PER_RANK) as u64
     );
     // Each rank folds a fixed set of metric cells into the shared
@@ -113,7 +113,7 @@ fn coordinator_merges_allocate_per_rank_not_per_event() {
     );
 
     // --- The hot update itself is allocation-free. ---
-    let handle = ranks[0].counter_handle("chkpt_faults_total");
+    let handle = ranks[0].counter_handle("kv_upserts_total");
     let hist = ranks[0].histogram_handle("chkpt_fault_ns");
     let hot_allocs = allocations_during(|| {
         for i in 0..10_000u64 {
