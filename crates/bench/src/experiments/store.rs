@@ -146,13 +146,31 @@ pub fn render(rows: &[StoreRow]) -> Table {
 mod tests {
     use super::*;
     use nvm_emu::TempDir;
+    use std::io::Read;
 
     #[test]
     fn quick_store_experiment_produces_consistent_rows() {
         let tmp = TempDir::new("bench-store").unwrap();
         let rows = run(&Scale::quick(), tmp.path());
-        assert_eq!(rows.len(), 3);
+        let strategies: Vec<&str> = rows.iter().map(|r| r.strategy.as_str()).collect();
+        assert_eq!(strategies, ["eager", "parallel x4", "lazy"]);
         let ranks = Scale::quick().total_ranks();
+        // One container per rank, each opening with the superblock
+        // magic.
+        let mut containers = 0;
+        for entry in std::fs::read_dir(tmp.path()).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if name.starts_with("rank_") && name.ends_with(".store") {
+                let mut magic = [0u8; 8];
+                std::fs::File::open(&path)
+                    .and_then(|mut f| f.read_exact(&mut magic))
+                    .unwrap();
+                assert_eq!(&magic, b"NVMSTOR1", "{name}: superblock magic");
+                containers += 1;
+            }
+        }
+        assert_eq!(containers, ranks);
         for r in &rows {
             assert_eq!(r.ranks, ranks);
             assert!(r.chunks_per_rank > 0);

@@ -18,8 +18,14 @@
 //!   by flipping each chunk's committed slot and persisting the
 //!   metadata region — a crash at any earlier point leaves the previous
 //!   committed version intact;
-//! * [`CheckpointEngine::restart`] rebuilds a process from the
-//!   metadata region, verifying checksums and restoring working copies.
+//! * [`CheckpointEngine::restart_with`] rebuilds a process from the
+//!   surviving metadata region, [`CheckpointEngine::restart_from_store`]
+//!   from a durable container and
+//!   [`CheckpointEngine::restart_from_images`] from a buddy node's chunk
+//!   images. One restart core serves all three sources: each chunk is
+//!   verified, then restored or deferred to first access, and the
+//!   strategy's restore cost is charged the same way whatever the
+//!   source.
 //!
 //! All operations charge a shared [`VirtualClock`].
 
@@ -115,8 +121,10 @@ pub struct RemoteImage {
     /// Logical chunk length in bytes (equals `payload.len()` for
     /// byte-materialized images).
     pub len: usize,
-    /// CRC-64 recorded at remote-put time; `None` recomputes it from
-    /// the payload on install.
+    /// CRC-64 recorded at remote-put time. A recorded checksum is
+    /// verified against the payload on install, and a mismatching image
+    /// is listed in [`RestartReport::corrupt`]; `None` recomputes it
+    /// from the payload.
     pub checksum: Option<u64>,
     /// Remote epoch the image was committed under.
     pub epoch: u64,
@@ -143,12 +151,11 @@ pub struct CheckpointEngine {
     /// [`CheckpointEngine::stats`] when this interval started; each
     /// epoch report is the difference from it.
     interval_start_stats: EngineStats,
-    /// Chunks awaiting lazy (first-access) restore.
-    lazy_pending: BTreeSet<ChunkId>,
-    /// Chunks awaiting lazy restore *from the durable store* (their
-    /// payload was never materialized in this process's NVM device),
-    /// with the recovered table entry needed to install them.
-    lazy_store_pending: BTreeMap<ChunkId, RecoveredChunk>,
+    /// Chunks awaiting lazy (first-access) restore, with where their
+    /// committed bytes live: `None` for their own committed NVM slot,
+    /// `Some` for the attached store's recovered table entry (the
+    /// payload was never materialized in this process's NVM device).
+    lazy: BTreeMap<ChunkId, Option<RecoveredChunk>>,
     /// Durable backend every commit is mirrored into (cost-free in
     /// virtual time; the devices already charged the copies).
     persistence: Option<Box<dyn Persistence>>,
@@ -191,8 +198,20 @@ impl CheckpointEngine {
             config.materialization,
         )?;
         let metadata = MetadataRegion::create(nvm)?;
+        Ok(Self::from_parts(heap, metadata, clock, config))
+    }
+
+    /// The one constructor: an engine over `heap` and `metadata` at
+    /// epoch 0 with fresh MMU, predictor and planner state, nothing
+    /// pending, no backend, and detached tracer and metrics.
+    fn from_parts(
+        heap: NvmHeap,
+        metadata: MetadataRegion,
+        clock: VirtualClock,
+        config: EngineConfig,
+    ) -> Self {
         let now = clock.now();
-        Ok(CheckpointEngine {
+        CheckpointEngine {
             heap,
             mmu: Mmu::with_granularity(config.granularity),
             clock,
@@ -205,15 +224,14 @@ impl CheckpointEngine {
             precopy_done: BTreeSet::new(),
             precopy_credit_secs: 0.0,
             interval_start_stats: EngineStats::default(),
-            lazy_pending: BTreeSet::new(),
-            lazy_store_pending: BTreeMap::new(),
+            lazy: BTreeMap::new(),
             persistence: None,
             stats: EngineStats::default(),
             log: Vec::new(),
             tracer: Tracer::disabled(),
             metrics: Metrics::disabled(),
             fault_ns: HistogramHandle::disabled(),
-        })
+        }
     }
 
     /// Attach a [`Tracer`]: protection faults, pre-copy activity,
@@ -369,7 +387,7 @@ impl CheckpointEngine {
             self.mmu.unregister_chunk(id);
             self.predictor.forget(id);
             self.precopy_done.remove(&id);
-            self.lazy_store_pending.remove(&id);
+            self.lazy.remove(&id);
             if let Some(store) = self.persistence.as_mut() {
                 // Dropped from the store's table at the next commit;
                 // its on-media extents are recycled only after that
@@ -568,7 +586,10 @@ impl CheckpointEngine {
         // so chunks whose store-lazy restore is still outstanding must
         // be materialized first — otherwise their unrestored working
         // copies would be committed over the recovered data.
-        while let Some(id) = self.lazy_store_pending.keys().next().copied() {
+        let from_store: Vec<ChunkId> = (self.lazy.iter())
+            .filter_map(|(&id, rec)| rec.is_some().then_some(id))
+            .collect();
+        for id in from_store {
             self.ensure_restored(id)?;
         }
         let t0 = self.clock.now();
@@ -808,145 +829,28 @@ impl CheckpointEngine {
         config: EngineConfig,
         strategy: RestartStrategy,
     ) -> Result<(Self, RestartReport), EngineError> {
-        Self::restart_traced(
+        Self::restart_from(
             dram,
             nvm,
-            metadata_region,
             clock,
             config,
             strategy,
+            RestoreSource::Nvm(metadata_region),
             Tracer::disabled(),
         )
-    }
-
-    /// [`CheckpointEngine::restart_with`] with a [`Tracer`] attached
-    /// from the first instruction: the restart itself is recorded as a
-    /// [`TraceEventKind::Restart`] event and the rebuilt engine keeps
-    /// the tracer.
-    #[allow(clippy::too_many_arguments)]
-    pub fn restart_traced(
-        dram: &MemoryDevice,
-        nvm: &MemoryDevice,
-        metadata_region: RegionId,
-        clock: VirtualClock,
-        config: EngineConfig,
-        strategy: RestartStrategy,
-        tracer: Tracer,
-    ) -> Result<(Self, RestartReport), EngineError> {
-        let t0 = clock.now();
-        let metadata = MetadataRegion::open(nvm, metadata_region)?;
-        let (meta, load_cost) = metadata.load()?;
-        clock.advance(load_cost);
-        let mut heap =
-            NvmHeap::reopen(dram, nvm, &meta, config.materialization, config.versioning)?;
-        let mut mmu = Mmu::with_granularity(config.granularity);
-        let mut report = RestartReport::default();
-        let mut lazy_pending = BTreeSet::new();
-        let mut restore_cost = SimDuration::ZERO;
-
-        for id in heap.chunk_ids() {
-            let chunk = heap.chunk(id)?.clone();
-            mmu.register_chunk(id, pages_for(chunk.len).max(1));
-            if !chunk.has_committed() {
-                report.never_committed.push(id);
-                continue;
-            }
-            if strategy == RestartStrategy::Lazy {
-                // Defer verification + restore to first access. The
-                // chunk is clean: its committed NVM copy is the truth.
-                mmu.clear_local_dirty(id);
-                mmu.clear_remote_dirty(id);
-                lazy_pending.insert(id);
-                report.deferred.push(id);
-                continue;
-            }
-            let slot = chunk.committed_slot.expect("checked");
-            // Verify checksum when we have both bytes and a stored sum.
-            if config.materialization == Materialization::Bytes {
-                if let Some(expected) = chunk.checksum {
-                    let (data, read_cost) = heap.read_version(id, slot)?;
-                    restore_cost += read_cost;
-                    let actual = crc64(&data);
-                    if actual != expected {
-                        report.corrupt.push(id);
-                        continue;
-                    }
-                }
-            }
-            restore_cost += heap.restore_to_dram(id)?;
-            // Restored chunks are in sync with their committed version.
-            mmu.clear_local_dirty(id);
-            mmu.clear_remote_dirty(id);
-            if config.precopy.enabled() {
-                mmu.protect_after_precopy(id);
-            }
-            report.restored.push(id);
-        }
-        // Charge the restore time per the strategy: parallel streams
-        // overlap, bounded by the contended per-stream bandwidth.
-        match strategy {
-            RestartStrategy::Parallel { streams } if streams > 1 => {
-                let n = streams.min(report.restored.len().max(1));
-                let solo = nvm.per_core_bandwidth(1, 32 << 20);
-                let shared = nvm.per_core_bandwidth(n, 32 << 20);
-                let slowdown = (solo / shared).max(1.0);
-                clock.advance(SimDuration::from_secs_f64(
-                    restore_cost.as_secs_f64() * slowdown / n as f64,
-                ));
-            }
-            _ => {
-                clock.advance(restore_cost);
-            }
-        }
-        report.duration = clock.now().since(t0);
-        let now = clock.now();
-        tracer.emit(
-            now.as_nanos(),
-            TraceEventKind::Restart {
-                strategy: strategy.name().to_string(),
-                chunks: report.restored.len() as u64,
-            },
-        );
-        let stats = EngineStats {
-            restarts: 1,
-            ..EngineStats::default()
-        };
-        Ok((
-            CheckpointEngine {
-                heap,
-                mmu,
-                clock,
-                config,
-                metadata,
-                predictor: PredictionTable::new(),
-                planner: PrecopyPlanner::new(),
-                epoch: 0,
-                interval_start: now,
-                precopy_done: BTreeSet::new(),
-                precopy_credit_secs: 0.0,
-                interval_start_stats: EngineStats::default(),
-                lazy_pending,
-                lazy_store_pending: BTreeMap::new(),
-                persistence: None,
-                stats,
-                log: Vec::new(),
-                tracer,
-                metrics: Metrics::disabled(),
-                fault_ns: HistogramHandle::disabled(),
-            },
-            report,
-        ))
     }
 
     /// Rebuild an engine from a durable [`Persistence`] backend alone:
     /// nothing of the failed process survives except its container
     /// file. Fresh devices are populated from the store's last durable
-    /// commit, with restore costs charged exactly as
-    /// [`CheckpointEngine::restart_traced`] charges them — the store
-    /// file stands in for the surviving NVM medium, so installing its
+    /// commit by the same restart core as
+    /// [`CheckpointEngine::restart_with`], so restores are charged
+    /// exactly as device-local restart charges them — the store file
+    /// stands in for the surviving NVM medium, so installing its
     /// payloads back into the emulated device is free while the
     /// modeled NVM-read + DRAM-write of each restore is paid per the
-    /// strategy. The rebuilt engine keeps the store attached.
+    /// strategy. The rebuilt engine keeps the store attached and
+    /// resumes at the epoch after the store's last commit.
     #[allow(clippy::too_many_arguments)]
     pub fn restart_from_store(
         dram: &MemoryDevice,
@@ -955,117 +859,21 @@ impl CheckpointEngine {
         clock: VirtualClock,
         config: EngineConfig,
         strategy: RestartStrategy,
-        mut store: Box<dyn Persistence>,
+        store: Box<dyn Persistence>,
         tracer: Tracer,
     ) -> Result<(Self, RestartReport), EngineError> {
-        config.validate()?;
-        if container_capacity == 0 {
-            return Err(ConfigError::ZeroShadowRegion.into());
-        }
-        let t0 = clock.now();
-        let state = store.recover()?;
-        let mut heap = NvmHeap::new(
-            state.process_id,
+        Self::restart_from(
             dram,
             nvm,
-            container_capacity,
-            config.versioning,
-            config.materialization,
-        )?;
-        let metadata = MetadataRegion::create(nvm)?;
-        let mut mmu = Mmu::with_granularity(config.granularity);
-        let mut report = RestartReport::default();
-        let mut lazy_store_pending = BTreeMap::new();
-        let mut restore_cost = SimDuration::ZERO;
-
-        for rec in &state.chunks {
-            let id = heap.nvmalloc_id(rec.id, &rec.name, rec.len, true)?;
-            mmu.register_chunk(id, pages_for(rec.len).max(1));
-            if strategy == RestartStrategy::Lazy {
-                // Defer the media read itself to first access: an
-                // untouched chunk is never fetched from the store.
-                mmu.clear_local_dirty(id);
-                mmu.clear_remote_dirty(id);
-                lazy_store_pending.insert(id, rec.clone());
-                report.deferred.push(id);
-                continue;
-            }
-            let payload = match store.read_chunk(id) {
-                Ok(p) => p,
-                Err(PersistError::Checksum { .. }) => {
-                    report.corrupt.push(id);
-                    continue;
-                }
-                Err(e) => return Err(e.into()),
-            };
-            restore_cost += Self::install_recovered(&mut heap, id, rec, &payload)?;
-            mmu.clear_local_dirty(id);
-            mmu.clear_remote_dirty(id);
-            if config.precopy.enabled() {
-                mmu.protect_after_precopy(id);
-            }
-            report.restored.push(id);
-        }
-        match strategy {
-            RestartStrategy::Parallel { streams } if streams > 1 => {
-                let n = streams.min(report.restored.len().max(1));
-                let solo = nvm.per_core_bandwidth(1, 32 << 20);
-                let shared = nvm.per_core_bandwidth(n, 32 << 20);
-                let slowdown = (solo / shared).max(1.0);
-                clock.advance(SimDuration::from_secs_f64(
-                    restore_cost.as_secs_f64() * slowdown / n as f64,
-                ));
-            }
-            _ => {
-                clock.advance(restore_cost);
-            }
-        }
-        report.duration = clock.now().since(t0);
-        let now = clock.now();
-        tracer.emit(
-            now.as_nanos(),
-            TraceEventKind::StoreRecovery {
-                epoch: state.epoch,
-                chunks: state.chunks.len() as u64,
-                torn: state.torn_writes_detected,
+            clock,
+            config,
+            strategy,
+            RestoreSource::Store {
+                store,
+                container_capacity,
             },
-        );
-        tracer.emit(
-            now.as_nanos(),
-            TraceEventKind::Restart {
-                strategy: strategy.name().to_string(),
-                chunks: report.restored.len() as u64,
-            },
-        );
-        let stats = EngineStats {
-            restarts: 1,
-            ..EngineStats::default()
-        };
-        Ok((
-            CheckpointEngine {
-                heap,
-                mmu,
-                clock,
-                config,
-                metadata,
-                predictor: PredictionTable::new(),
-                planner: PrecopyPlanner::new(),
-                epoch: state.epoch.map_or(0, |e| e + 1),
-                interval_start: now,
-                precopy_done: BTreeSet::new(),
-                precopy_credit_secs: 0.0,
-                interval_start_stats: EngineStats::default(),
-                lazy_pending: BTreeSet::new(),
-                lazy_store_pending,
-                persistence: Some(store),
-                stats,
-                log: Vec::new(),
-                tracer,
-                metrics: Metrics::disabled(),
-                fault_ns: HistogramHandle::disabled(),
-            },
-            report,
-        ))
+            tracer,
+        )
     }
 
     /// Rebuild an engine from chunk images fetched off a buddy node's
@@ -1074,10 +882,12 @@ impl CheckpointEngine {
     /// entirely from images that crossed the interconnect. Transfer
     /// costs (retries, wire time) belong to the caller; this charges
     /// only the install side — NVM seed + DRAM restore per chunk —
-    /// exactly as [`CheckpointEngine::restart_from_store`] charges its
-    /// restores. `next_epoch` sets the rebuilt engine's epoch counter
-    /// (the cluster's local-checkpoint count, so epoch numbering keeps
-    /// advancing instead of rewinding to the remote epoch).
+    /// through the same restart core as the other sources. An image
+    /// whose recorded checksum does not match its payload is listed in
+    /// [`RestartReport::corrupt`] instead of installed. `next_epoch`
+    /// sets the rebuilt engine's epoch counter (the cluster's
+    /// local-checkpoint count, so epoch numbering keeps advancing
+    /// instead of rewinding to the remote epoch).
     /// [`RestartStrategy::Lazy`] is charged as `Eager`: remote images
     /// only exist because they were already fetched, so there is
     /// nothing left to defer.
@@ -1094,222 +904,256 @@ impl CheckpointEngine {
         next_epoch: u64,
         tracer: Tracer,
     ) -> Result<(Self, RestartReport), EngineError> {
-        config.validate()?;
-        if container_capacity == 0 {
-            return Err(ConfigError::ZeroShadowRegion.into());
-        }
-        let t0 = clock.now();
-        let mut heap = NvmHeap::new(
-            process_id,
+        Self::restart_from(
             dram,
             nvm,
-            container_capacity,
-            config.versioning,
-            config.materialization,
-        )?;
-        let metadata = MetadataRegion::create(nvm)?;
-        let mut mmu = Mmu::with_granularity(config.granularity);
+            clock,
+            config,
+            strategy,
+            RestoreSource::Images {
+                process_id,
+                container_capacity,
+                images,
+                next_epoch,
+            },
+            tracer,
+        )
+    }
+
+    /// The restart core behind every public restart. The sources
+    /// differ only in how the heap is opened, where each chunk's
+    /// committed bytes come from, and the starting epoch and backend;
+    /// registration, verification, deferral, the strategy's restore
+    /// charge and the trace happen here once.
+    fn restart_from(
+        dram: &MemoryDevice,
+        nvm: &MemoryDevice,
+        clock: VirtualClock,
+        config: EngineConfig,
+        strategy: RestartStrategy,
+        mut source: RestoreSource<'_>,
+        tracer: Tracer,
+    ) -> Result<(Self, RestartReport), EngineError> {
+        let t0 = clock.now();
+        let recovered = match &mut source {
+            RestoreSource::Store { store, .. } => Some(store.recover()?),
+            _ => None,
+        };
+        let (mut engine, chunks): (Self, Vec<ChunkSource<'_>>) = match source {
+            RestoreSource::Nvm(region) => {
+                let metadata = MetadataRegion::open(nvm, region)?;
+                let (meta, load_cost) = metadata.load()?;
+                clock.advance(load_cost);
+                let heap =
+                    NvmHeap::reopen(dram, nvm, &meta, config.materialization, config.versioning)?;
+                let chunks = heap.chunk_ids().into_iter().map(ChunkSource::Nvm).collect();
+                (Self::from_parts(heap, metadata, clock, config), chunks)
+            }
+            RestoreSource::Store {
+                store,
+                container_capacity,
+            } => {
+                let state = recovered.as_ref().expect("recovered above");
+                let mut engine = Self::new(
+                    state.process_id,
+                    dram,
+                    nvm,
+                    container_capacity,
+                    clock,
+                    config,
+                )?;
+                engine.epoch = state.epoch.map_or(0, |e| e + 1);
+                engine.persistence = Some(store);
+                (
+                    engine,
+                    state.chunks.iter().map(ChunkSource::Store).collect(),
+                )
+            }
+            RestoreSource::Images {
+                process_id,
+                container_capacity,
+                images,
+                next_epoch,
+            } => {
+                let mut engine =
+                    Self::new(process_id, dram, nvm, container_capacity, clock, config)?;
+                engine.epoch = next_epoch;
+                (engine, images.iter().map(ChunkSource::Image).collect())
+            }
+        };
+        engine.stats.restarts = 1;
+        engine.tracer = tracer;
+
         let mut report = RestartReport::default();
         let mut restore_cost = SimDuration::ZERO;
-
-        for img in images {
-            let id = heap.nvmalloc_id(img.id, &img.name, img.len, true)?;
-            mmu.register_chunk(id, pages_for(img.len).max(1));
-            let rec = RecoveredChunk {
-                id: img.id,
-                name: img.name.clone(),
-                len: img.len,
-                payload_len: img.payload.len(),
-                checksum: img.checksum.unwrap_or_else(|| crc64(&img.payload)),
-                epoch: img.epoch,
+        for src in chunks {
+            let id = match src {
+                ChunkSource::Nvm(id) => id,
+                ChunkSource::Store(rec) => {
+                    engine.heap.nvmalloc_id(rec.id, &rec.name, rec.len, true)?
+                }
+                ChunkSource::Image(img) => {
+                    engine.heap.nvmalloc_id(img.id, &img.name, img.len, true)?
+                }
             };
-            restore_cost += Self::install_recovered(&mut heap, id, &rec, &img.payload)?;
-            mmu.clear_local_dirty(id);
-            mmu.clear_remote_dirty(id);
-            if config.precopy.enabled() {
-                mmu.protect_after_precopy(id);
+            let chunk = engine.heap.chunk(id)?;
+            let never_committed = !chunk.has_committed();
+            engine.mmu.register_chunk(id, pages_for(chunk.len).max(1));
+            // Store and image chunks were just allocated: they become
+            // committed when installed below.
+            if never_committed && matches!(src, ChunkSource::Nvm(_)) {
+                report.never_committed.push(id);
+                continue;
+            }
+            if strategy == RestartStrategy::Lazy && !matches!(src, ChunkSource::Image(_)) {
+                // Defer verification + restore (and a store's media
+                // read) to first access. The chunk is clean: its
+                // committed copy is the truth.
+                engine.mmu.clear_local_dirty(id);
+                engine.mmu.clear_remote_dirty(id);
+                let from_store = match src {
+                    ChunkSource::Store(rec) => Some(rec.clone()),
+                    _ => None,
+                };
+                engine.lazy.insert(id, from_store);
+                report.deferred.push(id);
+                continue;
+            }
+            match engine.restore_chunk(id, src, Some(&mut restore_cost)) {
+                Ok(()) => {}
+                Err(EngineError::ChecksumMismatch { .. }) => {
+                    report.corrupt.push(id);
+                    continue;
+                }
+                Err(e) => return Err(e),
+            }
+            // Restored chunks are in sync with their committed version.
+            engine.mmu.clear_local_dirty(id);
+            engine.mmu.clear_remote_dirty(id);
+            if engine.config.precopy.enabled() {
+                engine.mmu.protect_after_precopy(id);
             }
             report.restored.push(id);
         }
-        match strategy {
-            RestartStrategy::Parallel { streams } if streams > 1 => {
-                let n = streams.min(report.restored.len().max(1));
-                let solo = nvm.per_core_bandwidth(1, 32 << 20);
-                let shared = nvm.per_core_bandwidth(n, 32 << 20);
-                let slowdown = (solo / shared).max(1.0);
-                clock.advance(SimDuration::from_secs_f64(
-                    restore_cost.as_secs_f64() * slowdown / n as f64,
-                ));
-            }
-            _ => {
-                clock.advance(restore_cost);
-            }
+        engine
+            .clock
+            .advance(strategy.restore_time(restore_cost, report.restored.len(), nvm));
+        let now = engine.clock.now();
+        report.duration = now.since(t0);
+        engine.interval_start = now;
+        if let Some(state) = &recovered {
+            engine.trace(TraceEventKind::StoreRecovery {
+                epoch: state.epoch,
+                chunks: state.chunks.len() as u64,
+                torn: state.torn_writes_detected,
+            });
         }
-        report.duration = clock.now().since(t0);
-        let now = clock.now();
-        tracer.emit(
-            now.as_nanos(),
-            TraceEventKind::Restart {
-                strategy: strategy.name().to_string(),
-                chunks: report.restored.len() as u64,
-            },
-        );
-        let stats = EngineStats {
-            restarts: 1,
-            ..EngineStats::default()
-        };
-        Ok((
-            CheckpointEngine {
-                heap,
-                mmu,
-                clock,
-                config,
-                metadata,
-                predictor: PredictionTable::new(),
-                planner: PrecopyPlanner::new(),
-                epoch: next_epoch,
-                interval_start: now,
-                precopy_done: BTreeSet::new(),
-                precopy_credit_secs: 0.0,
-                interval_start_stats: EngineStats::default(),
-                lazy_pending: BTreeSet::new(),
-                lazy_store_pending: BTreeMap::new(),
-                persistence: None,
-                stats,
-                log: Vec::new(),
-                tracer,
-                metrics: Metrics::disabled(),
-                fault_ns: HistogramHandle::disabled(),
-            },
-            report,
-        ))
-    }
-
-    /// Install one payload recovered from a durable store into a
-    /// freshly allocated chunk: seed the NVM version slot (free —
-    /// those bytes survived on the medium), mark it committed, and
-    /// restore the DRAM working copy. Returns the modeled restore
-    /// cost, which the caller charges per its strategy.
-    fn install_recovered(
-        heap: &mut NvmHeap,
-        id: ChunkId,
-        rec: &RecoveredChunk,
-        payload: &[u8],
-    ) -> Result<SimDuration, EngineError> {
-        let versioning = heap.versioning();
-        let slot = heap.chunk(id)?.in_progress_slot(versioning);
-        match heap.materialization() {
-            Materialization::Bytes => {
-                if payload.len() != rec.len {
-                    return Err(EngineError::Store(PersistError::Corrupt(format!(
-                        "recovered payload length mismatch for chunk {}",
-                        id.0
-                    ))));
-                }
-                heap.seed_version(id, slot, payload)?;
-                let chunk = heap.chunk_mut(id)?;
-                chunk.committed_slot = Some(slot);
-                chunk.checksum = Some(rec.checksum);
-                chunk.committed_epoch = rec.epoch;
-            }
-            Materialization::Synthetic => {
-                let desc = SyntheticPayload::decode(payload).map_err(EngineError::Store)?;
-                if desc.id != id.0 || desc.len as usize != rec.len {
-                    return Err(EngineError::Store(PersistError::Corrupt(format!(
-                        "synthetic descriptor mismatch for chunk {}",
-                        id.0
-                    ))));
-                }
-                let chunk = heap.chunk_mut(id)?;
-                chunk.committed_slot = Some(slot);
-                chunk.checksum = None;
-                chunk.committed_epoch = rec.epoch;
-            }
-        }
-        Ok(heap.restore_to_dram(id)?)
-    }
-
-    /// First-access restore of a store-lazy chunk: read the payload
-    /// from the durable backend (checksum-verified on the way),
-    /// install it, and charge the restore like any lazy restore.
-    fn restore_from_store(&mut self, id: ChunkId, rec: &RecoveredChunk) -> Result<(), EngineError> {
-        let store = self
-            .persistence
-            .as_mut()
-            .expect("store-lazy chunks require an attached backend");
-        let payload = match store.read_chunk(id) {
-            Ok(p) => p,
-            Err(PersistError::Checksum {
-                chunk,
-                expected,
-                actual,
-            }) => {
-                return Err(EngineError::ChecksumMismatch {
-                    chunk: ChunkId(chunk),
-                    expected,
-                    actual,
-                })
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let cost = Self::install_recovered(&mut self.heap, id, rec, &payload)?;
-        self.clock.advance(cost);
-        if self.config.precopy.enabled() {
-            self.mmu.protect_after_precopy(id);
-        }
-        self.trace(TraceEventKind::Restart {
-            strategy: "lazy".to_string(),
-            chunks: 1,
+        engine.trace(TraceEventKind::Restart {
+            strategy: strategy.name().to_string(),
+            chunks: report.restored.len() as u64,
         });
+        Ok((engine, report))
+    }
+
+    /// Verify one chunk's committed bytes from `src` and install them
+    /// as its DRAM working copy. Each modeled cost is added to
+    /// `deferred` when given (a restart charges the total per its
+    /// strategy) and advances the clock as it occurs otherwise (first
+    /// access). A checksum read is paid even when verification then
+    /// fails with [`EngineError::ChecksumMismatch`].
+    fn restore_chunk(
+        &mut self,
+        id: ChunkId,
+        src: ChunkSource<'_>,
+        mut deferred: Option<&mut SimDuration>,
+    ) -> Result<(), EngineError> {
+        let clock = &self.clock;
+        let mut pay = |cost: SimDuration| match deferred.as_deref_mut() {
+            Some(total) => *total += cost,
+            None => {
+                clock.advance(cost);
+            }
+        };
+        let heap = &mut self.heap;
+        match src {
+            ChunkSource::Nvm(_) => {
+                let chunk = heap.chunk(id)?;
+                let slot = chunk
+                    .committed_slot
+                    .ok_or(EngineError::NoCommittedData(id))?;
+                if let (Materialization::Bytes, Some(expected)) =
+                    (heap.materialization(), chunk.checksum)
+                {
+                    let (data, read_cost) = heap.read_version(id, slot)?;
+                    pay(read_cost);
+                    verify_crc(id, expected, &data)?;
+                }
+                pay(heap.restore_to_dram(id)?);
+            }
+            ChunkSource::Store(rec) => {
+                let store = self
+                    .persistence
+                    .as_mut()
+                    .expect("store-sourced chunks require an attached backend");
+                let payload = store.read_chunk(id).map_err(|e| match e {
+                    PersistError::Checksum {
+                        chunk,
+                        expected,
+                        actual,
+                    } => EngineError::ChecksumMismatch {
+                        chunk: ChunkId(chunk),
+                        expected,
+                        actual,
+                    },
+                    e => e.into(),
+                })?;
+                pay(install_recovered(
+                    heap,
+                    id,
+                    rec.checksum,
+                    rec.epoch,
+                    &payload,
+                )?);
+            }
+            ChunkSource::Image(img) => {
+                let checksum = match img.checksum {
+                    Some(expected) => verify_crc(id, expected, &img.payload)?,
+                    None => crc64(&img.payload),
+                };
+                pay(install_recovered(
+                    heap,
+                    id,
+                    checksum,
+                    img.epoch,
+                    &img.payload,
+                )?);
+            }
+        }
         Ok(())
     }
 
-    /// Number of chunks still awaiting lazy restore.
+    /// Number of chunks still awaiting lazy (first-access) restore.
     pub fn lazy_pending_count(&self) -> usize {
-        self.lazy_pending.len()
+        self.lazy.len()
     }
 
-    /// Number of chunks still awaiting lazy restore from the durable
-    /// store (their payloads have not been read from media yet).
-    pub fn store_lazy_pending_count(&self) -> usize {
-        self.lazy_store_pending.len()
-    }
-
-    /// Verify + restore a lazily-deferred chunk now (called on first
-    /// access). No-op for chunks that are not pending.
+    /// Verify + restore a lazily deferred chunk now (called on first
+    /// access), from wherever its committed bytes live. No-op for
+    /// chunks that are not pending.
     fn ensure_restored(&mut self, id: ChunkId) -> Result<(), EngineError> {
-        if let Some(rec) = self.lazy_store_pending.remove(&id) {
-            return self.restore_from_store(id, &rec);
-        }
-        if !self.lazy_pending.remove(&id) {
+        let Some(from_store) = self.lazy.remove(&id) else {
             return Ok(());
-        }
-        let chunk = self.heap.chunk(id)?;
-        let slot = chunk
-            .committed_slot
-            .ok_or(EngineError::NoCommittedData(id))?;
-        let expected = chunk.checksum;
-        if self.config.materialization == Materialization::Bytes {
-            if let Some(expected) = expected {
-                let (data, read_cost) = self.heap.read_version(id, slot)?;
-                self.clock.advance(read_cost);
-                let actual = crc64(&data);
-                if actual != expected {
-                    return Err(EngineError::ChecksumMismatch {
-                        chunk: id,
-                        expected,
-                        actual,
-                    });
-                }
-            }
-        }
-        let cost = self.heap.restore_to_dram(id)?;
-        self.clock.advance(cost);
+        };
+        let src = match &from_store {
+            Some(rec) => ChunkSource::Store(rec),
+            None => ChunkSource::Nvm(id),
+        };
+        self.restore_chunk(id, src, None)?;
         if self.config.precopy.enabled() {
             self.mmu.protect_after_precopy(id);
         }
         self.trace(TraceEventKind::Restart {
-            strategy: "lazy".to_string(),
+            strategy: RestartStrategy::Lazy.name().to_string(),
             chunks: 1,
         });
         Ok(())
@@ -1431,6 +1275,94 @@ impl CheckpointEngine {
         let (data, _) = self.heap.read_version(id, slot)?;
         Ok(data)
     }
+}
+
+/// Where a restart takes a process's committed chunks from.
+enum RestoreSource<'a> {
+    /// The surviving NVM device's metadata region (soft failure).
+    Nvm(RegionId),
+    /// A durable container; the rebuilt engine keeps it attached.
+    Store {
+        store: Box<dyn Persistence>,
+        container_capacity: usize,
+    },
+    /// Chunk images fetched from a buddy node (hard failure).
+    Images {
+        process_id: u64,
+        container_capacity: usize,
+        images: &'a [RemoteImage],
+        next_epoch: u64,
+    },
+}
+
+/// Where one chunk's committed bytes come from when it is restored.
+#[derive(Clone, Copy)]
+enum ChunkSource<'a> {
+    /// Its committed version slot on this process's NVM device.
+    Nvm(ChunkId),
+    /// The attached durable store, per its recovered table entry.
+    Store(&'a RecoveredChunk),
+    /// A buddy image already in hand.
+    Image(&'a RemoteImage),
+}
+
+/// The checksum of `bytes`, or [`EngineError::ChecksumMismatch`] when
+/// it is not `expected`.
+fn verify_crc(chunk: ChunkId, expected: u64, bytes: &[u8]) -> Result<u64, EngineError> {
+    let actual = crc64(bytes);
+    if actual == expected {
+        Ok(actual)
+    } else {
+        Err(EngineError::ChecksumMismatch {
+            chunk,
+            expected,
+            actual,
+        })
+    }
+}
+
+/// Install one recovered payload into a freshly allocated chunk: seed
+/// the NVM version slot (free — those bytes survived on the medium or
+/// crossed the interconnect), mark it committed at `epoch`, and
+/// restore the DRAM working copy. Returns the modeled restore cost,
+/// which the caller charges.
+fn install_recovered(
+    heap: &mut NvmHeap,
+    id: ChunkId,
+    checksum: u64,
+    epoch: u64,
+    payload: &[u8],
+) -> Result<SimDuration, EngineError> {
+    let chunk = heap.chunk(id)?;
+    let len = chunk.len;
+    let slot = chunk.in_progress_slot(heap.versioning());
+    let checksum = match heap.materialization() {
+        Materialization::Bytes => {
+            if payload.len() != len {
+                return Err(EngineError::Store(PersistError::Corrupt(format!(
+                    "recovered payload length mismatch for chunk {}",
+                    id.0
+                ))));
+            }
+            heap.seed_version(id, slot, payload)?;
+            Some(checksum)
+        }
+        Materialization::Synthetic => {
+            let desc = SyntheticPayload::decode(payload).map_err(EngineError::Store)?;
+            if desc.id != id.0 || desc.len as usize != len {
+                return Err(EngineError::Store(PersistError::Corrupt(format!(
+                    "synthetic descriptor mismatch for chunk {}",
+                    id.0
+                ))));
+            }
+            None
+        }
+    };
+    let chunk = heap.chunk_mut(id)?;
+    chunk.committed_slot = Some(slot);
+    chunk.checksum = checksum;
+    chunk.committed_epoch = epoch;
+    Ok(heap.restore_to_dram(id)?)
 }
 
 #[cfg(test)]
@@ -2172,6 +2104,45 @@ mod tests {
         assert_eq!(e2.committed_bytes(b).unwrap(), bytes_b);
         assert_eq!(e2.epoch(), 5, "epoch counter resumes where told");
         assert_eq!(e2.stats().restarts, 1);
+    }
+
+    #[test]
+    fn restart_from_images_reports_checksum_mismatch_as_corrupt() {
+        let config = EngineConfig::builder()
+            .materialization(Materialization::Bytes)
+            .build()
+            .unwrap();
+        let dram = MemoryDevice::dram(64 * MB);
+        let nvm = MemoryDevice::pcm(64 * MB);
+        let image = |id, byte| {
+            let payload = vec![byte; 4096];
+            RemoteImage {
+                id: ChunkId(id),
+                name: format!("c{id}"),
+                len: payload.len(),
+                checksum: Some(crc64(&payload)),
+                epoch: 0,
+                payload,
+            }
+        };
+        let mut bad = image(2, 0x5A);
+        bad.checksum = bad.checksum.map(|c| c ^ 1); // flipped in flight
+        let images = vec![image(1, 0x11), bad];
+        let (_e, report) = CheckpointEngine::restart_from_images(
+            0,
+            &dram,
+            &nvm,
+            32 * MB,
+            VirtualClock::new(),
+            config,
+            RestartStrategy::Eager,
+            &images,
+            0,
+            Tracer::disabled(),
+        )
+        .unwrap();
+        assert_eq!(report.restored, vec![ChunkId(1)]);
+        assert_eq!(report.corrupt, vec![ChunkId(2)]);
     }
 
     #[test]

@@ -17,7 +17,12 @@
 //!   access write protected NVM, and an attempt to modify the data
 //!   would move the data back to DRAM"). Applications that touch only
 //!   part of their state after a failure never pay for the rest.
+//!
+//! [`RestartStrategy::restore_time`] is the one restore-cost policy:
+//! every restart source (surviving NVM, a durable store, buddy images)
+//! charges its restores through it.
 
+use nvm_emu::{MemoryDevice, SimDuration};
 use serde::{Deserialize, Serialize};
 
 /// How a restarted process repopulates its DRAM working copies.
@@ -42,6 +47,29 @@ impl RestartStrategy {
             RestartStrategy::Eager => "eager",
             RestartStrategy::Parallel { .. } => "parallel",
             RestartStrategy::Lazy => "lazy",
+        }
+    }
+
+    /// Virtual time a restart spends restoring `chunks` chunks whose
+    /// serial restore cost is `serial`. `Parallel` streams overlap,
+    /// bounded by the contended per-stream bandwidth of `nvm`; every
+    /// other strategy pays `serial` (a lazy restart's deferred chunks
+    /// are not in it — each pays its own restore on first access).
+    pub(crate) fn restore_time(
+        self,
+        serial: SimDuration,
+        chunks: usize,
+        nvm: &MemoryDevice,
+    ) -> SimDuration {
+        match self {
+            RestartStrategy::Parallel { streams } if streams > 1 => {
+                let n = streams.min(chunks.max(1));
+                let solo = nvm.per_core_bandwidth(1, 32 << 20);
+                let shared = nvm.per_core_bandwidth(n, 32 << 20);
+                let slowdown = (solo / shared).max(1.0);
+                SimDuration::from_secs_f64(serial.as_secs_f64() * slowdown / n as f64)
+            }
+            _ => serial,
         }
     }
 }

@@ -58,6 +58,7 @@ use rdma_sim::{
     UsageTrace,
 };
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -494,41 +495,45 @@ where
         busy[rank.global as usize].fetch_add(thread_cpu_ns().saturating_sub(t0), Relaxed);
         out
     };
-    let mut flat: Vec<&mut Rank> = ranks.iter_mut().flatten().collect();
-    if threads <= 1 || flat.len() <= 1 {
-        for rank in flat {
-            timed(rank)?;
+    let flat: Vec<&mut Rank> = ranks.iter_mut().flatten().collect();
+    fan_out(flat, threads, timed).map(|_| ())
+}
+
+/// Apply `f` to every item on up to `threads` scoped workers, each
+/// taking one contiguous run of items and stopping at its first error.
+/// Outputs come back in item order, and on failure the lowest-index
+/// failing item's error wins, so the result equals the serial path's
+/// (taken when `threads <= 1` or there is one item). Ranks, shard
+/// merges and recovery verification all fan out through here.
+fn fan_out<T, R, E, F>(items: Vec<T>, threads: usize, f: F) -> Result<Vec<R>, E>
+where
+    T: Send,
+    R: Send,
+    E: Send,
+    F: Fn(T) -> Result<R, E> + Sync,
+{
+    if threads <= 1 || items.len() <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let total = items.len();
+    let per_worker = total.div_ceil(threads.min(total));
+    let mut items = items.into_iter();
+    std::thread::scope(|scope| {
+        let f = &f;
+        let workers: Vec<_> = std::iter::from_fn(|| {
+            let run: Vec<T> = items.by_ref().take(per_worker).collect();
+            (!run.is_empty())
+                .then(|| scope.spawn(move || run.into_iter().map(f).collect::<Result<Vec<R>, E>>()))
+        })
+        .collect();
+        let mut out = Vec::with_capacity(total);
+        // Workers hold contiguous runs in item order, so the first
+        // failed run met here holds the lowest failing index.
+        for worker in workers {
+            out.extend(worker.join().expect("worker panicked")?);
         }
-        return Ok(());
-    }
-    let chunk = flat.len().div_ceil(threads.min(flat.len()));
-    let mut failures: Vec<(u64, SimError)> = std::thread::scope(|scope| {
-        let timed = &timed;
-        let handles: Vec<_> = flat
-            .chunks_mut(chunk)
-            .map(|ranks| {
-                scope.spawn(move || {
-                    let mut failed = Vec::new();
-                    for rank in ranks.iter_mut() {
-                        if let Err(e) = timed(rank) {
-                            failed.push((rank.global, e));
-                            break;
-                        }
-                    }
-                    failed
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("rank worker panicked"))
-            .collect()
-    });
-    failures.sort_by_key(|(global, _)| *global);
-    match failures.into_iter().next() {
-        Some((_, e)) => Err(e),
-        None => Ok(()),
-    }
+        Ok(out)
+    })
 }
 
 struct NodeDevices {
@@ -1236,24 +1241,14 @@ impl ClusterSim {
                 busy_ns: thread_cpu_ns().saturating_sub(t0),
             }
         };
-        let shard_chunks = self
+        let shard_chunks: Vec<_> = self
             .ranks
             .chunks_mut(nodes_per_shard)
-            .zip((0..).step_by(nodes_per_shard));
-        let mut shard_results: Vec<ShardMerge> = if self.config.threads <= 1 || shards <= 1 {
-            shard_chunks.map(|(r, n)| merge_shard(r, n)).collect()
-        } else {
-            std::thread::scope(|scope| {
-                let merge_shard = &merge_shard;
-                let handles: Vec<_> = shard_chunks
-                    .map(|(r, n)| scope.spawn(move || merge_shard(r, n)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("merge worker panicked"))
-                    .collect()
-            })
-        };
+            .zip((0..).step_by(nodes_per_shard))
+            .collect();
+        let Ok(mut shard_results) = fan_out(shard_chunks, self.config.threads, |(r, n)| {
+            Ok::<_, Infallible>(merge_shard(r, n))
+        });
         let merge_busy_ns: Vec<u64> = shard_results.iter().map(|s| s.busy_ns).collect();
 
         // Coordinator fold of the shard rollups, plus the coordinator
@@ -1404,38 +1399,11 @@ impl ClusterSim {
             Ok(records)
         };
         // `&mut Rank` is `Send` even though `&Rank` is not `Sync`
-        // (boxed workloads/persistence), so the pool moves exclusive
-        // rank borrows to workers exactly like `for_each_rank_parallel`.
-        let mut pairs: Vec<(&mut Rank, &Vec<RemoteImage>)> =
+        // (boxed workloads/persistence), so workers get exclusive rank
+        // borrows exactly like `for_each_rank_parallel`.
+        let pairs: Vec<(&mut Rank, &Vec<RemoteImage>)> =
             ranks.iter_mut().zip(images_per_rank.iter()).collect();
-        if threads <= 1 || pairs.len() <= 1 {
-            return pairs
-                .into_iter()
-                .map(|(rank, images)| verify_one(rank, images))
-                .collect();
-        }
-        let chunk = pairs.len().div_ceil(threads.min(pairs.len()));
-        let per_rank: Vec<(u64, Result<Vec<RecoveredChunkRecord>, SimError>)> =
-            std::thread::scope(|scope| {
-                let verify_one = &verify_one;
-                let handles: Vec<_> = pairs
-                    .chunks_mut(chunk)
-                    .map(|part| {
-                        scope.spawn(move || {
-                            part.iter()
-                                .map(|(rank, images)| (rank.global, verify_one(rank, images)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("verify worker panicked"))
-                    .collect()
-            });
-        // Chunks are contiguous and in rank order, so the flattened
-        // results already are too; the first error is the lowest rank.
-        per_rank.into_iter().map(|(_, r)| r).collect()
+        fan_out(pairs, threads, |(rank, images)| verify_one(rank, images))
     }
 
     /// Mirror one committed chunk into the node's remote store: real
